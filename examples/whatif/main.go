@@ -2,9 +2,10 @@
 // motivates ("employed in the inner loop of design optimization").
 // Starting from the fully noisy design, it repeatedly asks the top-k
 // engine for a candidate fix, verifies the candidate with the
-// incremental noise engine (recomputing only the change cone rather
-// than the whole design), applies it, and repeats until a timing
-// target is met or the fix budget runs out.
+// incremental noise engine (which replays the current analysis and
+// re-evaluates only the nets whose inputs moved, with the exact result
+// of a full run), applies it, and repeats until a timing target is met
+// or the fix budget runs out.
 package main
 
 import (
@@ -16,7 +17,7 @@ import (
 )
 
 func main() {
-	bench := flag.String("bench", "", "paper benchmark circuit (default: a sparser generated design that shows off incremental cones)")
+	bench := flag.String("bench", "", "paper benchmark circuit (default: a sparser generated design)")
 	margin := flag.Float64("margin", 0.5, "fraction of the crosstalk penalty to recover")
 	budget := flag.Int("budget", 25, "maximum number of fixes")
 	flag.Parse()
@@ -73,7 +74,7 @@ func main() {
 				log.Fatal(err)
 			}
 			gain := cur.CircuitDelay() - an.CircuitDelay()
-			scope := fmt.Sprintf("%d nets re-analyzed", stats.Affected)
+			scope := fmt.Sprintf("%d nets evaluated, the rest replayed", stats.Affected)
 			if stats.Full {
 				scope = "full re-analysis"
 			}

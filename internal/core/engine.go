@@ -1399,13 +1399,18 @@ func (e *engine) rescore(res *Result) error {
 			return 0, fmt.Errorf("core: rescore: %w", err)
 		}
 		e.stats.RescoreRuns++
-		var mask noise.Mask
+		var (
+			an  *noise.Analysis
+			err error
+		)
 		if e.mode == addition {
-			mask = noise.MaskOf(e.c, ids)
+			an, err = e.m.RunBudget(e.bud, noise.MaskOf(e.c, ids))
 		} else {
-			mask = noise.WithoutMask(e.c, ids)
+			// An elimination set differs from the prepared fixpoint's
+			// mask by a few couplings, so replaying its trajectory
+			// copies most evaluations; the result is a cold run's.
+			an, _, err = e.m.RunIncrementalBudget(e.bud, e.full, e.opt.Active, noise.WithoutMask(e.c, ids))
 		}
-		an, err := e.m.RunBudget(e.bud, mask)
 		if err != nil {
 			return 0, err
 		}

@@ -9,9 +9,9 @@ import (
 // TestFixpointAllocBudget is the allocation regression gate on the
 // flat-grid kernel: a warm fixpoint run on the paper circuits must
 // stay within a fixed allocation ceiling. The measured steady state
-// is ~24 allocs/run on i1 and ~27 on i3 (engine pool bookkeeping and
-// the result maps — the per-victim envelope math itself is
-// allocation-free); the ceiling leaves slack for harmless runtime
+// is ~28 allocs/run on i1 and ~31 on i3 (engine pool bookkeeping, the
+// result maps and the four slices of the replay trajectory — the
+// per-victim envelope math itself is allocation-free); the ceiling leaves slack for harmless runtime
 // variation while still failing loudly if per-victim or per-iteration
 // allocations ever creep back in (the pre-kernel engine spent 1218
 // and 2573 allocs/run respectively).

@@ -156,15 +156,17 @@ type fixpoint struct {
 
 	envs []envEntry // memo cache indexed by CoupDir (2*CouplingID + side)
 
-	// Per-victim memo of the raw delay-noise evaluation, keyed on the
-	// reference arrival and slew and invalidated whenever any incident
-	// envelope rebuilt. Owned by the victim's evaluator, so parallel
-	// sweeps touch disjoint entries. Cleared every run: the stored
-	// value depends on the run's active-coupling set.
-	rawLAT  []float64
-	rawSlew []float64
-	rawVal  []float64
-	rawOK   []bool
+	// evaluated marks, per victim index, the victims this run evaluated
+	// at least once (rather than copying a replayed result); each sweep
+	// worker writes only its own queue slots' entries.
+	evaluated []bool
+
+	// rec is the run's own trajectory, appended as it goes and copied
+	// at exact size onto the returned Analysis; rp replays a base run's
+	// trajectory (rp.t is nil on a cold run). See trajectory.
+	rec     trajectory
+	rp      replay
+	sweepNo int32 // 1-based number of the sweep in flight
 
 	scratch []evalScratch
 	workers int
@@ -187,7 +189,7 @@ func (m *Model) getFixpoint() *fixpoint {
 // putFixpoint returns an engine to the model's pool, dropping the
 // run-scoped references.
 func (m *Model) putFixpoint(f *fixpoint) {
-	f.m, f.inc, f.bud, f.obs = nil, nil, nil, nil
+	f.m, f.inc, f.bud, f.obs, f.rp.t = nil, nil, nil, nil, nil
 	if m.fixPool != nil {
 		m.fixPool.Put(f)
 	}
@@ -245,11 +247,9 @@ func newFixpoint(m *Model, active Mask, inc *sta.Incremental, bud *budget.B) *fi
 	nv := len(f.victims)
 	f.dirty = grow(f.dirty, nv)
 	clear(f.dirty)
-	f.rawLAT = grow(f.rawLAT, nv)
-	f.rawSlew = grow(f.rawSlew, nv)
-	f.rawVal = grow(f.rawVal, nv)
-	f.rawOK = grow(f.rawOK, nv)
-	clear(f.rawOK)
+	f.evaluated = grow(f.evaluated, nv)
+	clear(f.evaluated)
+	f.rec.reset()
 	f.notified = append(f.notified[:0], inc.Result().Windows...)
 	f.markTol = m.Tol
 
@@ -286,20 +286,13 @@ func newFixpoint(m *Model, active Mask, inc *sta.Incremental, bud *budget.B) *fi
 	return f
 }
 
-// seedAll marks every victim for evaluation — the cold start of Run's
-// first sweep.
-func (f *fixpoint) seedAll() {
-	for vi := range f.dirty {
-		f.dirty[vi] = true
-	}
-}
-
 // markChanged marks the victims whose evaluation depends on any of the
 // given window-changed nets: the net itself (if a victim) and the far
 // endpoints of its active couplings. A net only notifies its
 // dependents when its window has drifted more than markTol since its
-// last notification; that is the worklist gate of the ISSUE — nets
-// whose inputs moved within tolerance are not re-evaluated.
+// last notification, so nets whose inputs moved within tolerance are
+// not re-evaluated. Every notification is appended to the run's
+// trajectory.
 func (f *fixpoint) markChanged(changed []circuit.NetID) {
 	wins := f.inc.Result().Windows
 	for _, n := range changed {
@@ -313,6 +306,8 @@ func (f *fixpoint) markChanged(changed []circuit.NetID) {
 			continue
 		}
 		f.notified[n] = wins[n]
+		f.rec.nets = append(f.rec.nets, int32(n))
+		f.rec.wins = append(f.rec.wins, wins[n])
 		f.dirty[vi] = true
 		for j := f.vOff[vi]; j < f.vOff[vi+1]; j++ {
 			if ui := f.vIndex[f.vAgg[j]]; ui >= 0 {
@@ -335,10 +330,10 @@ func windowMoved(a, b sta.Window, tol float64) bool {
 		a.Slew-b.Slew > tol || b.Slew-a.Slew > tol
 }
 
-// iterate runs sweeps over the dirty victims until the largest noise
-// movement of a sweep is within Tol or the iteration budget runs out.
-// Callers seed the dirty set first (seedAll for a cold run, the change
-// cone for an incremental one).
+// iterate runs sweeps over the dirty victims, starting from every
+// victim, until the largest noise movement of a sweep is
+// within Tol or the iteration budget runs out. With a replay attached,
+// each sweep first advances the base run's view to the same sweep.
 //
 // A non-nil error means the ascent was stopped before settling — the
 // caller's budget tripped (cancellation, deadline, work allowance) or
@@ -346,22 +341,31 @@ func windowMoved(a, b sta.Window, tol float64) bool {
 // discarded: a sweep that stops mid-queue commits nothing, so no
 // partially-evaluated iteration ever reaches the returned Analysis.
 func (f *fixpoint) iterate() (iters int, converged bool, err error) {
+	for vi := range f.dirty {
+		f.dirty[vi] = true
+	}
 	for iter := 1; iter <= f.m.MaxIterations; iter++ {
 		if err = f.bud.Err(); err != nil {
 			break
 		}
 		iters = iter
+		f.sweepNo = int32(iter)
 		f.buildQueue()
 		if o := f.obs; o != nil {
 			o.sweeps.Inc()
 			o.worklistDepth.Observe(int64(len(f.queue)))
+		}
+		if f.rp.t != nil {
+			f.rp.advance(f.sweepNo)
 		}
 		maxDelta, serr := f.sweep()
 		if serr != nil {
 			err = serr
 			break
 		}
+		updates := len(f.rec.wins)
 		f.markChanged(f.inc.Update())
+		f.rec.head = append(f.rec.head, int32(len(f.queue)), int32(len(f.rec.wins)-updates))
 		if maxDelta <= f.m.Tol {
 			converged = true
 			break
@@ -433,7 +437,7 @@ func (f *fixpoint) sweep() (float64, error) {
 							return
 						}
 					}
-					res[qi] = f.evaluate(int(f.queue[qi]), s)
+					res[qi] = f.result(int(f.queue[qi]), s)
 				}
 			}(&f.scratch[w])
 		}
@@ -457,6 +461,8 @@ func (f *fixpoint) sweep() (float64, error) {
 		// flows through the window change the commit causes (via
 		// Update and the markTol gate in markChanged).
 		f.inc.SetExtraLAT(v, nv)
+		f.rec.nets = append(f.rec.nets, int32(v))
+		f.rec.vals = append(f.rec.vals, nv)
 	}
 	return maxDelta, nil
 }
@@ -477,9 +483,24 @@ func (f *fixpoint) sweepSerial(res []float64) (err error) {
 				return e
 			}
 		}
-		res[qi] = f.evaluate(int(vi), s)
+		res[qi] = f.result(int(vi), s)
 	}
 	return nil
+}
+
+// result is victim vi's new noise for the sweep in flight: the base
+// run's value when replay proves the evaluation's inputs bitwise equal
+// to the base run's at the same sweep, else a fresh evaluation. Either
+// way the value is the one a cold run computes.
+func (f *fixpoint) result(vi int, s *evalScratch) float64 {
+	if f.rp.t != nil {
+		if n, ok := f.replayed(vi); ok {
+			s.counts.replays++
+			return n
+		}
+	}
+	f.evaluated[vi] = true
+	return f.evaluate(vi, s)
 }
 
 // pulseFromCols is PulseParams fed from the columnar snapshot: the
@@ -512,7 +533,6 @@ func (f *fixpoint) evaluate(vi int, s *evalScratch) float64 {
 	s.counts.evals++
 	lo, hi := f.vOff[vi], f.vOff[vi+1]
 	nact := 0
-	allHit := true
 	for j := lo; j < hi; j++ {
 		e := &f.envs[f.vEnv[j]]
 		if !e.valid {
@@ -535,7 +555,6 @@ func (f *fixpoint) evaluate(vi int, s *evalScratch) float64 {
 					win.LAT, e.pulse.Fall, e.pulse.Vp, e.invRise, e.invFall)
 			}
 			e.valid = true
-			allHit = false
 		} else {
 			s.counts.envHits++
 		}
@@ -543,30 +562,13 @@ func (f *fixpoint) evaluate(vi int, s *evalScratch) float64 {
 			nact++
 		}
 	}
-	if !allHit {
-		f.rawOK[vi] = false
-	}
 	// The reference victim transition includes noise propagated from
 	// the fanin but not the victim's own injected noise (which is
 	// exactly what is being recomputed here).
 	vw := wins[v]
 	prev := f.inc.ExtraLAT()[v]
 	vw.LAT -= prev
-	var n float64
-	if f.rawOK[vi] && vw.LAT == f.rawLAT[vi] && vw.Slew == f.rawSlew[vi] {
-		// Identical envelopes, reference arrival and slew: the memoized
-		// value stands. (A grid-screened memo entry stores the prev it
-		// proved unbeatable; prev is monotone per victim within a run,
-		// so the clamp below reconciles it exactly as a re-screen
-		// would.)
-		s.counts.rawHits++
-		n = f.rawVal[vi]
-	} else {
-		s.counts.rawMisses++
-		n = f.delayNoiseFlat(vw, prev, f.vTraps[lo:hi], f.vAct[lo:hi], nact, s)
-		f.rawLAT[vi], f.rawSlew[vi], f.rawVal[vi] = vw.LAT, vw.Slew, n
-		f.rawOK[vi] = true
-	}
+	n := f.delayNoiseFlat(vw, prev, f.vTraps[lo:hi], f.vAct[lo:hi], nact, s)
 	// Keep per-net noise monotone across iterations: arrival shifts
 	// can move a victim past an aggressor envelope and make the raw
 	// recomputation oscillate, but delay noise once observed is never

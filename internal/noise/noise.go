@@ -299,6 +299,10 @@ type Analysis struct {
 	Iterations int
 	// Converged reports whether the fixpoint settled within tolerance.
 	Converged bool
+
+	// traj is the run's trajectory, which RunIncremental replays. It
+	// is empty on an Analysis restored from a snapshot.
+	traj trajectory
 }
 
 // ErrNotConverged is the sentinel every *NotConvergedError matches
@@ -381,24 +385,45 @@ func (m *Model) RunCtx(ctx context.Context, active Mask) (*Analysis, error) {
 // Run for the analysis semantics.
 func (m *Model) RunBudget(b *budget.B, active Mask) (*Analysis, error) {
 	defer m.Obs.Span("noise.run").End()
-	opt := sta.Options{PIArrival: m.PIArrival}
-	base, err := sta.Analyze(m.C, opt)
+	an, _, err := m.analyze(b, active, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("noise: %w", err)
+	}
+	return an, nil
+}
+
+// analyze runs the fixpoint under active from the noiseless timing and
+// records the run's trajectory on the returned Analysis. A non-nil
+// prev, computed under prevMask, lends its noiseless timing (which
+// does not depend on the mask) and its trajectory to replay. The int
+// is the number of distinct victims the run evaluated rather than
+// copied.
+func (m *Model) analyze(b *budget.B, active Mask, prev *Analysis, prevMask Mask) (*Analysis, int, error) {
+	opt := sta.Options{PIArrival: m.PIArrival}
+	var base *sta.Result
+	if prev != nil {
+		base = prev.Base
+	} else {
+		var err error
+		if base, err = sta.Analyze(m.C, opt); err != nil {
+			return nil, 0, err
+		}
 	}
 	// Adopt the noiseless timing instead of re-analyzing: a zero
 	// ExtraLAT vector is bit-transparent to window propagation.
 	inc, err := sta.NewIncrementalFrom(base, opt)
 	if err != nil {
-		return nil, fmt.Errorf("noise: %w", err)
+		return nil, 0, err
 	}
 	inc.Instrument(m.Obs)
 	f := newFixpoint(m, active, inc, b)
 	defer m.putFixpoint(f)
-	f.seedAll()
+	if prev != nil {
+		f.startReplay(&prev.traj, prevMask, active)
+	}
 	iters, converged, err := f.iterate()
 	if err != nil {
-		return nil, fmt.Errorf("noise: %w", err)
+		return nil, 0, err
 	}
 	an := &Analysis{
 		Base:       base,
@@ -406,8 +431,15 @@ func (m *Model) RunBudget(b *budget.B, active Mask) (*Analysis, error) {
 		NetNoise:   append([]float64(nil), inc.ExtraLAT()...),
 		Iterations: iters,
 		Converged:  converged,
+		traj:       f.rec.clone(),
 	}
-	return an, nil
+	evaluated := 0
+	for _, e := range f.evaluated {
+		if e {
+			evaluated++
+		}
+	}
+	return an, evaluated, nil
 }
 
 // activeCouplingsOf returns the active couplings incident on net v.

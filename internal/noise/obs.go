@@ -19,13 +19,12 @@ import (
 //	noise.fixpoint.sweeps           dirty-victim sweeps executed
 //	noise.fixpoint.iterations       total iterations across runs
 //	noise.fixpoint.evals            victim evaluations performed
+//	noise.fixpoint.replays          evaluations copied from a base run's trajectory
 //	noise.fixpoint.worklist_depth   histogram: queue length per sweep
 //	noise.fixpoint.env_memo_hits    per-coupling envelope memo hits
 //	noise.fixpoint.env_memo_misses  ... and rebuilds
 //	noise.fixpoint.pulse_memo_hits  transcendental pulse-solve memo hits
 //	noise.fixpoint.pulse_memo_misses
-//	noise.fixpoint.raw_memo_hits    raw delay-noise memo hits
-//	noise.fixpoint.raw_memo_misses
 //	noise.fixpoint.grid_screen_hits whole evaluations skipped by the grid bound
 //	noise.fixpoint.grid_eval_skips  breakpoint evaluations skipped in crossing walks
 //	noise.fixpoint.stops            runs stopped early by budget/cancellation
@@ -33,10 +32,9 @@ import (
 type fixObs struct {
 	runs, converged        *obs.Counter
 	sweeps, iterations     *obs.Counter
-	evals                  *obs.Counter
+	evals, replays         *obs.Counter
 	envHits, envMisses     *obs.Counter
 	pulseHits, pulseMiss   *obs.Counter
-	rawHits, rawMisses     *obs.Counter
 	gridScreens, gridSkips *obs.Counter
 	stops, panics          *obs.Counter
 	worklistDepth          *obs.Histogram
@@ -54,12 +52,11 @@ func newFixObs(r *obs.Registry) *fixObs {
 		sweeps:        r.Counter("noise.fixpoint.sweeps"),
 		iterations:    r.Counter("noise.fixpoint.iterations"),
 		evals:         r.Counter("noise.fixpoint.evals"),
+		replays:       r.Counter("noise.fixpoint.replays"),
 		envHits:       r.Counter("noise.fixpoint.env_memo_hits"),
 		envMisses:     r.Counter("noise.fixpoint.env_memo_misses"),
 		pulseHits:     r.Counter("noise.fixpoint.pulse_memo_hits"),
 		pulseMiss:     r.Counter("noise.fixpoint.pulse_memo_misses"),
-		rawHits:       r.Counter("noise.fixpoint.raw_memo_hits"),
-		rawMisses:     r.Counter("noise.fixpoint.raw_memo_misses"),
 		gridScreens:   r.Counter("noise.fixpoint.grid_screen_hits"),
 		gridSkips:     r.Counter("noise.fixpoint.grid_eval_skips"),
 		stops:         r.Counter("noise.fixpoint.stops"),
@@ -89,10 +86,9 @@ func (o *fixObs) stopObserved(err error) {
 // evaluation set and memo trajectories are deterministic; addition is
 // commutative).
 type evalCounts struct {
-	evals                  int64
+	evals, replays         int64
 	envHits, envMisses     int64
 	pulseHits, pulseMiss   int64
-	rawHits, rawMisses     int64
 	gridScreens, gridSkips int64
 }
 
@@ -105,12 +101,11 @@ func (o *fixObs) flush(scratch []evalScratch, iters int, converged bool) {
 	for i := range scratch {
 		c := &scratch[i].counts
 		t.evals += c.evals
+		t.replays += c.replays
 		t.envHits += c.envHits
 		t.envMisses += c.envMisses
 		t.pulseHits += c.pulseHits
 		t.pulseMiss += c.pulseMiss
-		t.rawHits += c.rawHits
-		t.rawMisses += c.rawMisses
 		t.gridScreens += c.gridScreens
 		t.gridSkips += c.gridSkips
 		*c = evalCounts{}
@@ -121,12 +116,11 @@ func (o *fixObs) flush(scratch []evalScratch, iters int, converged bool) {
 	}
 	o.iterations.Add(int64(iters))
 	o.evals.Add(t.evals)
+	o.replays.Add(t.replays)
 	o.envHits.Add(t.envHits)
 	o.envMisses.Add(t.envMisses)
 	o.pulseHits.Add(t.pulseHits)
 	o.pulseMiss.Add(t.pulseMiss)
-	o.rawHits.Add(t.rawHits)
-	o.rawMisses.Add(t.rawMisses)
 	o.gridScreens.Add(t.gridScreens)
 	o.gridSkips.Add(t.gridSkips)
 }
