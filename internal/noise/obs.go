@@ -25,19 +25,18 @@ import (
 //	noise.fixpoint.env_memo_misses  ... and rebuilds
 //	noise.fixpoint.pulse_memo_hits  transcendental pulse-solve memo hits
 //	noise.fixpoint.pulse_memo_misses
-//	noise.fixpoint.grid_screen_hits whole evaluations skipped by the grid bound
 //	noise.fixpoint.grid_eval_skips  breakpoint evaluations skipped in crossing walks
 //	noise.fixpoint.stops            runs stopped early by budget/cancellation
 //	noise.fixpoint.panics           runs stopped by a recovered worker panic
 type fixObs struct {
-	runs, converged        *obs.Counter
-	sweeps, iterations     *obs.Counter
-	evals, replays         *obs.Counter
-	envHits, envMisses     *obs.Counter
-	pulseHits, pulseMiss   *obs.Counter
-	gridScreens, gridSkips *obs.Counter
-	stops, panics          *obs.Counter
-	worklistDepth          *obs.Histogram
+	runs, converged      *obs.Counter
+	sweeps, iterations   *obs.Counter
+	evals, replays       *obs.Counter
+	envHits, envMisses   *obs.Counter
+	pulseHits, pulseMiss *obs.Counter
+	gridSkips, stops     *obs.Counter
+	panics               *obs.Counter
+	worklistDepth        *obs.Histogram
 }
 
 // newFixObs resolves the fixpoint metric handles, or returns nil for
@@ -57,7 +56,6 @@ func newFixObs(r *obs.Registry) *fixObs {
 		envMisses:     r.Counter("noise.fixpoint.env_memo_misses"),
 		pulseHits:     r.Counter("noise.fixpoint.pulse_memo_hits"),
 		pulseMiss:     r.Counter("noise.fixpoint.pulse_memo_misses"),
-		gridScreens:   r.Counter("noise.fixpoint.grid_screen_hits"),
 		gridSkips:     r.Counter("noise.fixpoint.grid_eval_skips"),
 		stops:         r.Counter("noise.fixpoint.stops"),
 		panics:        r.Counter("noise.fixpoint.panics"),
@@ -86,10 +84,10 @@ func (o *fixObs) stopObserved(err error) {
 // evaluation set and memo trajectories are deterministic; addition is
 // commutative).
 type evalCounts struct {
-	evals, replays         int64
-	envHits, envMisses     int64
-	pulseHits, pulseMiss   int64
-	gridScreens, gridSkips int64
+	evals, replays       int64
+	envHits, envMisses   int64
+	pulseHits, pulseMiss int64
+	gridSkips            int64
 }
 
 // flush publishes the summed per-worker counts. No-op when disabled.
@@ -106,7 +104,6 @@ func (o *fixObs) flush(scratch []evalScratch, iters int, converged bool) {
 		t.envMisses += c.envMisses
 		t.pulseHits += c.pulseHits
 		t.pulseMiss += c.pulseMiss
-		t.gridScreens += c.gridScreens
 		t.gridSkips += c.gridSkips
 		*c = evalCounts{}
 	}
@@ -121,6 +118,5 @@ func (o *fixObs) flush(scratch []evalScratch, iters int, converged bool) {
 	o.envMisses.Add(t.envMisses)
 	o.pulseHits.Add(t.pulseHits)
 	o.pulseMiss.Add(t.pulseMiss)
-	o.gridScreens.Add(t.gridScreens)
 	o.gridSkips.Add(t.gridSkips)
 }

@@ -12,9 +12,8 @@ import (
 // on the noise fixpoint's hot path: exact values come from Trap.At
 // (bit-identical to evaluating the corresponding PWL), and the grid
 // columns carry conservative per-cell maxima that let the kernel skip
-// whole evaluations and bracket crossing searches without ever
-// deciding a published number from a sampled value alone (DESIGN.md
-// §12).
+// breakpoints of its crossing search without ever deciding a
+// published number from a sampled value alone (DESIGN.md §12).
 
 // Trap is a trapezoidal envelope in closed form: zero up to Q0,
 // rising linearly to Vp at Q1, flat to Q2, falling linearly to zero
@@ -215,10 +214,6 @@ func (g *Grid) Edge(c int) float64 { return g.Lo + float64(c)*g.step }
 // conservative lower end of the times CellOf may assign to c.
 func (g *Grid) PadLeft(c int) float64 { return g.Lo + float64(c-1)*g.step }
 
-// PadRight returns the one-step-padded right edge of cell c — the
-// conservative upper end of the times CellOf may assign to c.
-func (g *Grid) PadRight(c int) float64 { return g.Lo + float64(c+2)*g.step }
-
 // gridPadFrac scales the additive per-trap slack folded into each
 // range's constant term. It absorbs two certified error sources: the
 // reciprocal-multiply evaluation of a rising or falling piece differs
@@ -324,13 +319,11 @@ const rampPadFrac = 0x1p-48
 // float addition/subtraction are monotone. The ramp lower bound is
 // zero left of the ramp foot r0, the full swing vdd past r1, and
 // otherwise the reciprocal-multiply interpolation minus an ulp-scaled
-// pad. cMax is the highest unskipped cell, -1 if all cells are
-// skipped. The Col slice is left untouched (and stale).
-func (g *Grid) FinalizeSkip(r0, r1, vdd, need float64) (skip uint64, cMax int) {
+// pad. The Col slice is left untouched (and stale).
+func (g *Grid) FinalizeSkip(r0, r1, vdd, need float64) (skip uint64) {
 	pad := g.padAcc * gridAccPadFrac
 	rampSlope := vdd / (r1 - r0)
 	rampPad := vdd * rampPadFrac
-	cMax = -1
 	runA, runB := 0.0, 0.0
 	for c := 0; c < g.Cells; c++ {
 		runA += g.diffA[c]
@@ -349,12 +342,10 @@ func (g *Grid) FinalizeSkip(r0, r1, vdd, need float64) (skip uint64, cMax int) {
 		}
 		if rv-col > need {
 			skip |= 1 << uint(c)
-		} else {
-			cMax = c
 		}
 	}
 	g.diffA[g.Cells], g.diffB[g.Cells] = 0, 0
-	return skip, cMax
+	return skip
 }
 
 // gridPool recycles Grid column storage across queries.
