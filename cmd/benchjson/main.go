@@ -7,8 +7,7 @@
 // noise fixpoint and the end-to-end Table-1/2 kernels (default output
 // BENCH_fixpoint.json). "core" times the top-k enumeration core in
 // isolation — prepared state built outside the timer, k-sweeps over
-// the Table-1/2 circuits in both modes, a worker sweep, and the
-// exact-prune escape hatch for the digest prefilter's effect (default
+// the Table-1/2 circuits in both modes and a worker sweep (default
 // output BENCH_core.json). "serve" times the HTTP front end over a
 // real loopback listener — per-op wire round trips plus a saturation
 // sweep of QPS and latency percentiles across client concurrency
@@ -138,10 +137,9 @@ func newReport() report {
 
 // runCore emits the enumeration-core suite: the same kernels as
 // internal/core's BenchmarkTopKEnumeration (prepared state outside the
-// timer, so each op is one warm TopK query), plus exact-prune
-// variants isolating the digest prefilter's contribution, plus an
-// instrumented metrics snapshot showing the digest/env-cache counters
-// and the prune latency histogram on the enabled path.
+// timer, so each op is one warm TopK query), plus an instrumented
+// metrics snapshot showing the digest/env-cache counters and the
+// prune latency histogram.
 func runCore(out string, quick bool) error {
 	models := map[string]*noise.Model{}
 	c, err := gen.Build(gen.Spec{Name: "t1", Gates: 30, Couplings: 60, Seed: 77})
@@ -156,18 +154,18 @@ func runCore(out string, quick bool) error {
 		}
 		models[name] = noise.NewModel(pc)
 	}
-	options := func(ckt string, exact bool) core.Options {
-		opt := core.Options{NoRescore: true, ExactPrune: exact}
+	options := func(ckt string) core.Options {
+		opt := core.Options{NoRescore: true}
 		if ckt == "t1" {
 			opt.SlackFrac = 1
 		}
 		return opt
 	}
-	prepare := func(m *noise.Model, mode, ckt string, exact bool) (*core.Shared, error) {
+	prepare := func(m *noise.Model, mode, ckt string) (*core.Shared, error) {
 		if mode == "elim" {
-			return core.PrepareElimination(m, core.WholeCircuit, options(ckt, exact))
+			return core.PrepareElimination(m, core.WholeCircuit, options(ckt))
 		}
-		return core.PrepareAddition(m, core.WholeCircuit, options(ckt, exact))
+		return core.PrepareAddition(m, core.WholeCircuit, options(ckt))
 	}
 	topk := func(shared *core.Shared, k int) func(b *testing.B) {
 		return func(b *testing.B) {
@@ -198,7 +196,7 @@ func runCore(out string, quick bool) error {
 		if quick && tc.slow {
 			continue
 		}
-		shared, err := prepare(models[tc.ckt], tc.mode, tc.ckt, false)
+		shared, err := prepare(models[tc.ckt], tc.mode, tc.ckt)
 		if err != nil {
 			return err
 		}
@@ -206,21 +204,10 @@ func runCore(out string, quick bool) error {
 			measure(&rep, fmt.Sprintf("topk_enum/%s/%s-k%d", tc.mode, tc.ckt, k), topk(shared, k))
 		}
 	}
-	// Exact-prune comparison at the acceptance cardinalities: the gap
-	// to the corresponding topk_enum rows is the digest prefilter.
-	for _, mode := range []string{"add", "elim"} {
-		shared, err := prepare(models["t1"], mode, "t1", true)
-		if err != nil {
-			return err
-		}
-		for _, k := range []int{4, 8} {
-			measure(&rep, fmt.Sprintf("topk_enum_exactprune/%s/t1-k%d", mode, k), topk(shared, k))
-		}
-	}
 	// Worker sweep at the deepest cardinality (results are byte-identical
 	// at every setting; only the wall clock may move).
 	for _, w := range []int{1, 2, 4, 8} {
-		shared, err := prepare(models["t1"].WithWorkers(w), "add", "t1", false)
+		shared, err := prepare(models["t1"].WithWorkers(w), "add", "t1")
 		if err != nil {
 			return err
 		}
@@ -229,7 +216,7 @@ func runCore(out string, quick bool) error {
 
 	rep.Metrics = map[string]*obs.Snapshot{}
 	reg := obs.New()
-	shared, err := prepare(models["t1"].WithObs(reg), "add", "t1", false)
+	shared, err := prepare(models["t1"].WithObs(reg), "add", "t1")
 	if err != nil {
 		return err
 	}

@@ -35,8 +35,8 @@ type envDigest struct {
 }
 
 // fill computes the digest of env over [lo, hi]. sampled toggles the
-// grid pass: the exact-prune escape hatch still memoizes peaks (they
-// feed the pre-existing quick reject) but skips sampling entirely.
+// grid pass: the digest-free prune (Options.exactPrune) still memoizes
+// peaks (they feed the quick reject) but skips sampling entirely.
 func (d *envDigest) fill(env waveform.PWL, lo, hi float64, sampled bool) {
 	_, d.peak = env.Peak()
 	if !sampled {
@@ -89,7 +89,7 @@ type pruner struct {
 	lo, hi float64
 	width  int
 	noDom  bool
-	exact  bool // escape hatch: skip the digest prefilter
+	exact  bool // Options.exactPrune: skip the digest prefilter
 	digs   []*envDigest
 }
 

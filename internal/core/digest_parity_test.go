@@ -11,11 +11,11 @@ import (
 // TestDigestParity is the property test behind the digest prefilter's
 // central claim (DESIGN.md §10): the envelope-digest prefilter is
 // conservative, so enumeration with it enabled returns byte-identical
-// results to the exact-prune escape hatch — same selections, same
-// scores, same pruning counters — over the seeded differential
-// circuits, in both modes, at one and at eight workers. The only
-// permitted difference is the digest counters themselves, which are
-// zero by definition under ExactPrune.
+// results to the digest-free prune (Options.exactPrune) — same
+// selections, same scores, same pruning counters — over the seeded
+// differential circuits, in both modes, at one and at eight workers.
+// The only permitted difference is the digest counters themselves,
+// which are zero by definition without the prefilter.
 func TestDigestParity(t *testing.T) {
 	seeds := 50
 	if testing.Short() {
@@ -39,7 +39,7 @@ func TestDigestParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d %s workers=%d: %v", seed, mode, w, err)
 				}
-				exact, err := run(m, 4, Options{SlackFrac: 1, NoRescore: true, ExactPrune: true})
+				exact, err := run(m, 4, Options{SlackFrac: 1, NoRescore: true, exactPrune: true})
 				if err != nil {
 					t.Fatalf("seed %d %s workers=%d exact: %v", seed, mode, w, err)
 				}
@@ -52,7 +52,7 @@ func TestDigestParity(t *testing.T) {
 				ds, es := stripTime(digest.Stats), stripTime(exact.Stats)
 				for i := range es.PerK {
 					if es.PerK[i].DigestHits != 0 || es.PerK[i].DigestFallbacks != 0 {
-						t.Errorf("seed %d %s workers=%d k=%d: exact-prune run reports digest activity (%d hits, %d fallbacks)",
+						t.Errorf("seed %d %s workers=%d k=%d: digest-free run reports digest activity (%d hits, %d fallbacks)",
 							seed, mode, w, es.PerK[i].K, es.PerK[i].DigestHits, es.PerK[i].DigestFallbacks)
 					}
 				}

@@ -44,14 +44,6 @@ type Options struct {
 	// the ablation benchmarks.
 	NoPseudo bool
 
-	// ExactPrune disables the envelope-digest prefilter in dominance
-	// pruning, running the exact PWL encapsulation check on every
-	// candidate pair. The digest prefilter is conservative — results
-	// are byte-identical either way (the digest-parity property test
-	// pins this) — so this is purely an escape hatch for debugging and
-	// for benchmarking the prefilter's effect.
-	ExactPrune bool
-
 	// NoRescore skips re-evaluating each selected set with the
 	// reference noise engine; Result delays then carry the
 	// enumeration's own estimates.
@@ -71,6 +63,14 @@ type Options struct {
 	// gate masking — at the cost of VerifyTop incremental analyses per
 	// cardinality.
 	VerifyTop int
+
+	// exactPrune disables the envelope-digest prefilter in dominance
+	// pruning, running the exact PWL encapsulation check on every
+	// candidate pair. The prefilter only rejects pairs the exact check
+	// would also reject (DESIGN.md §10), so results do not change; the
+	// digest-free prune is the oracle TestDigestParity holds the
+	// prefilter to, and nothing outside the package's tests sets it.
+	exactPrune bool
 }
 
 // Defaults for the zero Options value.

@@ -38,7 +38,6 @@ func EncodeOptions(e *snapshot.Encoder, opt Options) {
 	e.F64(opt.SlackFrac)
 	e.Bool(opt.NoDominance)
 	e.Bool(opt.NoPseudo)
-	e.Bool(opt.ExactPrune)
 	e.Bool(opt.NoRescore)
 	e.Int(opt.VerifyTop)
 	e.Bool(opt.Active != nil)
@@ -56,7 +55,6 @@ func DecodeOptions(d *snapshot.Decoder, c *circuit.Circuit) (Options, error) {
 	opt.SlackFrac = d.FiniteF64()
 	opt.NoDominance = d.Bool()
 	opt.NoPseudo = d.Bool()
-	opt.ExactPrune = d.Bool()
 	opt.NoRescore = d.Bool()
 	opt.VerifyTop = d.Int()
 	if d.Bool() {

@@ -137,7 +137,7 @@ func TestOptionsRoundTrip(t *testing.T) {
 	opts := []Options{
 		{},
 		{MaxListWidth: 7, MaxExtend: 2, MaxHigherOrder: 1, SlackFrac: 0.25,
-			NoDominance: true, NoPseudo: true, ExactPrune: true, NoRescore: true,
+			NoDominance: true, NoPseudo: true, NoRescore: true,
 			VerifyTop: 4, Active: active},
 	}
 	for i, opt := range opts {

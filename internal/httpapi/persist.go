@@ -303,8 +303,8 @@ func optionsEqual(a, b core.Options) bool {
 	if a.MaxListWidth != b.MaxListWidth || a.MaxExtend != b.MaxExtend ||
 		a.MaxHigherOrder != b.MaxHigherOrder || a.SlackFrac != b.SlackFrac ||
 		a.NoDominance != b.NoDominance || a.NoPseudo != b.NoPseudo ||
-		a.ExactPrune != b.ExactPrune || a.NoRescore != b.NoRescore ||
-		a.VerifyTop != b.VerifyTop || len(a.Active) != len(b.Active) ||
+		a.NoRescore != b.NoRescore || a.VerifyTop != b.VerifyTop ||
+		len(a.Active) != len(b.Active) ||
 		(a.Active == nil) != (b.Active == nil) {
 		return false
 	}
