@@ -11,9 +11,9 @@ import (
 )
 
 // TestTopKCtxPreCanceled pins the hard-stop contract at the engine
-// entry point: a context canceled before the call never produces a
-// result — the preparation itself is refused with a typed
-// cancellation error.
+// entry point: a budget bound to a context canceled before the call
+// never produces a result — the preparation itself is refused with a
+// typed cancellation error.
 func TestTopKCtxPreCanceled(t *testing.T) {
 	c, err := gen.Build(gen.Spec{Name: "budget", Gates: 20, Couplings: 15, Seed: 9})
 	if err != nil {
@@ -21,9 +21,9 @@ func TestTopKCtxPreCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := TopKAdditionCtx(ctx, noise.NewModel(c), 3, Options{})
+	s, err := PrepareAdditionBudget(budget.New(ctx), noise.NewModel(c), nil, WholeCircuit, Options{})
 	if err == nil {
-		t.Fatalf("pre-canceled context returned a result: %+v", res)
+		t.Fatalf("pre-canceled context returned a preparation: %+v", s)
 	}
 	if reason := budget.ReasonOf(err); reason != budget.Canceled {
 		t.Fatalf("error reason = %v, want Canceled: %v", reason, err)
@@ -127,7 +127,7 @@ func TestFixpointPreCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	an, err := noise.NewModel(c).RunCtx(ctx, nil)
+	an, err := noise.NewModel(c).RunBudget(budget.New(ctx), nil)
 	if err == nil {
 		t.Fatalf("pre-canceled fixpoint returned an analysis: %v", an)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"topkagg/internal/budget"
@@ -91,17 +90,11 @@ func (s *Shared) TopK(k int) (*Result, error) {
 	return s.p.newEngine(nil).run(k)
 }
 
-// TopKCtx is TopK honoring the context's cancellation and deadline:
-// the enumeration polls it between candidate batches and degrades to
-// a Partial result carrying the cardinalities that completed (see
-// Result.Partial).
-func (s *Shared) TopKCtx(ctx context.Context, k int) (*Result, error) {
-	return s.TopKBudget(budget.New(ctx), k)
-}
-
 // TopKBudget is TopK under a full budget — cancellation, deadline and
-// a candidate-evaluation work allowance (budget.WithWork). A nil
-// budget runs unbounded.
+// a candidate-evaluation work allowance (budget.WithWork). The
+// enumeration polls b between candidate batches and degrades to a
+// Partial result carrying the cardinalities that completed (see
+// Result.Partial). A nil budget runs unbounded.
 func (s *Shared) TopKBudget(b *budget.B, k int) (*Result, error) {
 	return s.p.newEngine(b).run(k)
 }

@@ -1,7 +1,6 @@
 package noise
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -49,15 +48,9 @@ func (m *Model) RunIncremental(prev *Analysis, prevMask, mask Mask) (*Analysis, 
 	return m.RunIncrementalBudget(nil, prev, prevMask, mask)
 }
 
-// RunIncrementalCtx is RunIncremental honoring the context's
-// cancellation and deadline with the same bounded-granularity polling
-// and all-or-nothing sweep commit as RunCtx.
-func (m *Model) RunIncrementalCtx(ctx context.Context, prev *Analysis, prevMask, mask Mask) (*Analysis, IncrementalStats, error) {
-	return m.RunIncrementalBudget(budget.New(ctx), prev, prevMask, mask)
-}
-
-// RunIncrementalBudget is the budget-carrying form of RunIncremental;
-// a nil budget runs unbounded.
+// RunIncrementalBudget is RunIncremental under a budget, with the same
+// bounded-granularity polling and all-or-nothing sweep commit as
+// RunBudget; a nil budget runs unbounded.
 func (m *Model) RunIncrementalBudget(b *budget.B, prev *Analysis, prevMask, mask Mask) (*Analysis, IncrementalStats, error) {
 	defer m.Obs.Span("noise.run_incremental").End()
 	if m.Obs != nil {
@@ -230,24 +223,4 @@ func sameWindow(a, b sta.Window) bool {
 	return math.Float64bits(a.EAT) == math.Float64bits(b.EAT) &&
 		math.Float64bits(a.LAT) == math.Float64bits(b.LAT) &&
 		math.Float64bits(a.Slew) == math.Float64bits(b.Slew)
-}
-
-// DelayDelta is a convenience for what-if loops: the circuit-delay
-// change from prev after toggling the given couplings off (fix) or on
-// (unfix), evaluated incrementally.
-func (m *Model) DelayDelta(prev *Analysis, prevMask Mask, fix []circuit.CouplingID) (float64, *Analysis, error) {
-	var mask Mask
-	if prevMask == nil {
-		mask = AllMask(m.C)
-	} else {
-		mask = prevMask.Clone()
-	}
-	for _, id := range fix {
-		mask[id] = !mask[id]
-	}
-	an, _, err := m.RunIncremental(prev, prevMask, mask)
-	if err != nil {
-		return 0, nil, err
-	}
-	return an.CircuitDelay() - prev.CircuitDelay(), an, nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"topkagg/internal/circuit"
 	"topkagg/internal/gen"
 )
 
@@ -97,29 +96,5 @@ func TestQuickIncrementalMatchesFull(t *testing.T) {
 	}
 	if !sawIncremental {
 		t.Fatal("test never exercised the replay path")
-	}
-}
-
-func TestDelayDelta(t *testing.T) {
-	m := smallModel(t, 47)
-	all := AllMask(m.C)
-	prev, err := m.Run(all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fixing (removing) any coupling cannot increase delay.
-	delta, an, err := m.DelayDelta(prev, all, []circuit.CouplingID{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if delta > 1e-9 {
-		t.Fatalf("fixing a coupling increased delay by %g", delta)
-	}
-	if an == nil {
-		t.Fatal("analysis missing")
-	}
-	// DelayDelta with a nil prevMask treats it as all-active.
-	if _, _, err := m.DelayDelta(prev, nil, []circuit.CouplingID{1}); err != nil {
-		t.Fatal(err)
 	}
 }

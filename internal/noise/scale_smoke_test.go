@@ -35,7 +35,7 @@ func TestScaleFixpointUnderBudget(t *testing.T) {
 	// budget, not converge.
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	if _, err := m.RunCtx(ctx, nil); budget.ReasonOf(err) != budget.DeadlineExceeded {
+	if _, err := m.RunBudget(budget.New(ctx), nil); budget.ReasonOf(err) != budget.DeadlineExceeded {
 		t.Fatalf("budgeted run: reason %v (err %v), want deadline stop", budget.ReasonOf(err), err)
 	}
 

@@ -254,25 +254,39 @@ func TopKEliminationAt(m *Model, net NetID, k int, opt Options) (*Result, error)
 // Partial set, holding exactly the cardinalities that completed (each
 // identical to an unbounded run's).
 func TopKAdditionCtx(ctx context.Context, m *Model, k int, opt Options) (*Result, error) {
-	return core.TopKAdditionCtx(ctx, m, k, opt)
+	return topKCtx(ctx, core.PrepareAdditionBudget, m, core.WholeCircuit, k, opt)
 }
 
 // TopKEliminationCtx is TopKElimination honoring the context (see
 // TopKAdditionCtx).
 func TopKEliminationCtx(ctx context.Context, m *Model, k int, opt Options) (*Result, error) {
-	return core.TopKEliminationCtx(ctx, m, k, opt)
+	return topKCtx(ctx, core.PrepareEliminationBudget, m, core.WholeCircuit, k, opt)
 }
 
 // TopKAdditionAtCtx is TopKAdditionAt honoring the context (see
 // TopKAdditionCtx).
 func TopKAdditionAtCtx(ctx context.Context, m *Model, net NetID, k int, opt Options) (*Result, error) {
-	return core.TopKAdditionAtCtx(ctx, m, net, k, opt)
+	return topKCtx(ctx, core.PrepareAdditionBudget, m, net, k, opt)
 }
 
 // TopKEliminationAtCtx is TopKEliminationAt honoring the context (see
 // TopKAdditionCtx).
 func TopKEliminationAtCtx(ctx context.Context, m *Model, net NetID, k int, opt Options) (*Result, error) {
-	return core.TopKEliminationAtCtx(ctx, m, net, k, opt)
+	return topKCtx(ctx, core.PrepareEliminationBudget, m, net, k, opt)
+}
+
+// topKCtx prepares the enumeration state and runs it to cardinality k
+// under one budget bound to ctx, so a stop during the preparation
+// returns a typed error and a stop during the enumeration a Partial
+// result.
+func topKCtx(ctx context.Context, prepare func(*budget.B, *Model, *noise.Analysis, NetID, Options) (*core.Shared, error),
+	m *Model, net NetID, k int, opt Options) (*Result, error) {
+	b := budget.New(ctx)
+	s, err := prepare(b, m, nil, net, opt)
+	if err != nil {
+		return nil, err
+	}
+	return s.TopKBudget(b, k)
 }
 
 // StopReason classifies an error returned anywhere in the stack as an
