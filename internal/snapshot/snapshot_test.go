@@ -321,8 +321,27 @@ func TestQuarantine(t *testing.T) {
 	}
 }
 
+// TestStoreSaveLoadRemove walks a state directory through save, boot
+// and delete. The directory is its own index: after every step it
+// holds exactly one .snap file per live model and nothing else, and a
+// MANIFEST.json left behind by the version-1 store is neither read nor
+// reported.
 func TestStoreSaveLoadRemove(t *testing.T) {
 	dir := t.TempDir()
+	assertFiles := func(step string, want ...string) {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, e := range entries {
+			got = append(got, e.Name())
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("after %s: directory holds %v, want %v", step, got, want)
+		}
+	}
 	st, err := Open(dir, obs.New())
 	if err != nil {
 		t.Fatal(err)
@@ -332,6 +351,7 @@ func TestStoreSaveLoadRemove(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	assertFiles("Save", "alpha.snap", "beta.snap")
 	// Leave an orphan temp (simulated kill -9 mid-write) for the sweep.
 	orphan := filepath.Join(dir, tmpPrefix+"alpha.snap.123")
 	if err := os.WriteFile(orphan, []byte("torn"), 0o644); err != nil {
@@ -382,11 +402,28 @@ func TestStoreSaveLoadRemove(t *testing.T) {
 	if err := st2.Remove("ghost"); err != nil {
 		t.Fatal(err)
 	}
+	assertFiles("Remove", "beta.snap")
+
+	// A manifest from a version-1 directory, naming the removed model
+	// and one that never had a file, must not bring either back.
+	manifest := []byte(`{"formatVersion":1,"models":[` +
+		`{"name":"alpha","file":"alpha.snap"},{"name":"ghost","file":"ghost.snap"}]}`)
+	if err := os.WriteFile(filepath.Join(dir, "MANIFEST.json"), manifest, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st3, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs = st3.Load(func(name string, dec *Decoder) error { return drainDecoder(dec) })
+	if len(outs) != 1 || outs[0].Name != "beta" || !outs[0].Restored {
+		t.Fatalf("boot over a leftover manifest: outcomes = %+v", outs)
+	}
 }
 
 // TestStoreLoadQuarantinesCorrupt corrupts one stored file; Load must
-// quarantine it, restore the healthy one, and drop the corrupt entry
-// from the manifest so the next boot is clean.
+// quarantine it and restore the healthy one, and the next boot must
+// find only the healthy file.
 func TestStoreLoadQuarantinesCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, obs.New())
