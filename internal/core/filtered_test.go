@@ -68,3 +68,48 @@ func TestActiveMaskEmptySelectsNothing(t *testing.T) {
 		t.Fatal("with nothing active, noisy == noiseless")
 	}
 }
+
+// TestEliminationRescoreHonoursActive pins elimination rescoring to the
+// configured coupling subset, as a false-aggressor filter feeds it:
+// with a partial Options.Active, each reported delay is the measured
+// delay of Active minus the set, never a run that re-activates the
+// couplings Active leaves out, so no cardinality can report more delay
+// than Active with nothing eliminated.
+func TestEliminationRescoreHonoursActive(t *testing.T) {
+	c, err := gen.BuildPaper("i1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := noise.NewModel(c)
+	active := noise.AllMask(c)
+	for id := 0; id < len(active); id += 4 {
+		active[id] = false
+	}
+	res, err := TopKElimination(m, 3, Options{Active: active})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.PerK) != 3 {
+		t.Fatalf("got %d cardinalities, want 3", len(res.PerK))
+	}
+	none, err := m.Run(active)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range res.PerK {
+		mask := active.Clone()
+		for _, id := range s.IDs {
+			mask[id] = false
+		}
+		an, err := m.Run(mask)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(s.Delay) != math.Float64bits(an.CircuitDelay()) {
+			t.Errorf("k=%d: reported delay %v, Active minus %v measures %v", i+1, s.Delay, s.IDs, an.CircuitDelay())
+		}
+		if s.Delay > none.CircuitDelay() {
+			t.Errorf("k=%d: reported delay %v exceeds %v of Active with nothing eliminated", i+1, s.Delay, none.CircuitDelay())
+		}
+	}
+}
