@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net/http"
@@ -166,53 +167,77 @@ func TestPersistCorruptTailRebuilds(t *testing.T) {
 
 // TestPersistCorruptHeadLosesModelNotServer: damage before the design
 // source leaves nothing to rebuild from — the model is lost and says
-// so, but the server boots, quarantines the file, and keeps serving
-// everything else.
+// so with a typed format error, but the server boots, quarantines the
+// file, and keeps serving everything else. A file whose header names
+// format version 1 (written before the layout change of version 2)
+// takes the same path: v1 files are not migrated, and their models
+// must be uploaded again.
 func TestPersistCorruptHeadLosesModelNotServer(t *testing.T) {
-	dir := t.TempDir()
-	c := testCircuit(t, 35)
-	srvA, tsA, _ := newPersistServer(t, dir)
-	uploadNetlist(t, tsA, "keep", c)
-	uploadNetlist(t, tsA, "lost", c)
-	if err := srvA.SaveAll(); err != nil {
-		t.Fatal(err)
+	damages := []struct {
+		name   string
+		damage func(data []byte)
+	}{
+		{"meta bit flip", func(data []byte) {
+			data[len(snapshot.Magic)+4+3] ^= 0x01 // inside the meta section frame
+		}},
+		{"version 1 header", func(data []byte) {
+			binary.LittleEndian.PutUint32(data[len(snapshot.Magic):], 1)
+		}},
 	}
-	data, err := os.ReadFile(snapPath(dir, "lost"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(snapshot.Magic)+4+3] ^= 0x01 // inside the meta section frame
-	if err := os.WriteFile(snapPath(dir, "lost"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range damages {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c := testCircuit(t, 35)
+			srvA, tsA, _ := newPersistServer(t, dir)
+			uploadNetlist(t, tsA, "keep", c)
+			uploadNetlist(t, tsA, "lost", c)
+			if err := srvA.SaveAll(); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(snapPath(dir, "lost"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(data)
+			if err := os.WriteFile(snapPath(dir, "lost"), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	_, tsB, outs := newPersistServer(t, dir)
-	if len(outs) != 2 {
-		t.Fatalf("outcomes: %+v", outs)
-	}
-	for _, o := range outs {
-		switch o.Name {
-		case "keep":
-			if !o.Warm {
-				t.Errorf("keep: %+v", o)
+			_, tsB, outs := newPersistServer(t, dir)
+			if len(outs) != 2 {
+				t.Fatalf("outcomes: %+v", outs)
 			}
-		case "lost":
-			if o.Warm || o.Rebuilt || o.Quarantined == "" || o.Err == nil {
-				t.Errorf("lost: %+v", o)
+			for _, o := range outs {
+				switch o.Name {
+				case "keep":
+					if !o.Warm {
+						t.Errorf("keep: %+v", o)
+					}
+				case "lost":
+					if o.Warm || o.Rebuilt || o.Quarantined == "" || !snapshot.IsCorrupt(o.Err) {
+						t.Errorf("lost: %+v", o)
+					}
+					if _, err := os.Stat(o.Quarantined); err != nil {
+						t.Errorf("quarantine evidence missing: %v", err)
+					}
+				}
 			}
-		}
-	}
-	status, _ := post(t, tsB, "/v1/models/keep/query", QueryRequest{Op: "addition", K: 1})
-	if status != http.StatusOK {
-		t.Errorf("surviving model: status %d", status)
-	}
-	resp, err := tsB.Client().Get(tsB.URL + "/v1/models/lost")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("lost model still registered: status %d", resp.StatusCode)
+			if _, err := os.Stat(snapPath(dir, "lost")); !os.IsNotExist(err) {
+				t.Errorf("damaged file left in the state directory: %v", err)
+			}
+			status, _ := post(t, tsB, "/v1/models/keep/query", QueryRequest{Op: "addition", K: 1})
+			if status != http.StatusOK {
+				t.Errorf("surviving model: status %d", status)
+			}
+			resp, err := tsB.Client().Get(tsB.URL + "/v1/models/lost")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("lost model still registered: status %d", resp.StatusCode)
+			}
+		})
 	}
 }
 
