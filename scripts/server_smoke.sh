@@ -3,9 +3,9 @@
 # run one query per op over the wire, and byte-diff each response
 # against the committed goldens in testdata/golden/ — the wire format
 # carries no timing or cache counters, so the bytes are fully
-# deterministic. Finishes with a short loadgen run against the live
-# server and a graceful SIGTERM drain, asserting the /readyz ladder:
-# 200 while serving, 503 from the moment draining starts.
+# deterministic. Finishes with a graceful SIGTERM drain, asserting the
+# /readyz ladder: 200 while serving, 503 from the moment draining
+# starts.
 #
 # Usage: scripts/server_smoke.sh [-update]   (-update rewrites goldens)
 set -euo pipefail
@@ -73,11 +73,6 @@ grep -q '"unknown-op"' "$WORK/bad.json" || {
   cat "$WORK/bad.json" >&2
   exit 1
 }
-
-# Short load run against the live server (uploads its own model).
-go run ./cmd/loadgen -addr "$ADDR" -duration 2s -concurrency 2 \
-  -o "$WORK/loadgen.json"
-grep -q '"qps"' "$WORK/loadgen.json"
 
 # Readiness ladder, drain side: the -drain-wait window holds /readyz
 # at 503 while requests still complete, so load balancers stop routing
