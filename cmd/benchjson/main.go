@@ -8,14 +8,13 @@
 // BENCH_fixpoint.json). "core" times the top-k enumeration core in
 // isolation — prepared state built outside the timer, k-sweeps over
 // the Table-1/2 circuits in both modes and a worker sweep (default
-// output BENCH_core.json). "serve" times the HTTP front end over a
-// real loopback listener — per-op wire round trips plus a saturation
-// sweep of QPS and latency percentiles across client concurrency
-// levels (default output BENCH_serve.json):
+// output BENCH_core.json). "scale" times warm fixpoint runs over
+// generated circuits from 1k to 100k nets (default output
+// BENCH_scale.json):
 //
 //	go run ./cmd/benchjson -o BENCH_fixpoint.json
 //	go run ./cmd/benchjson -suite core
-//	go run ./cmd/benchjson -suite serve
+//	go run ./cmd/benchjson -suite scale
 //	go run ./cmd/benchjson -quick
 package main
 
@@ -56,14 +55,11 @@ type report struct {
 	// hit rates) — the enabled-path evidence the perf criteria ask for.
 	// The timed benchmarks above run uninstrumented.
 	Metrics map[string]*obs.Snapshot `json:"metrics,omitempty"`
-	// Serve is the HTTP saturation table (serve suite only): QPS and
-	// latency percentiles at each client concurrency level.
-	Serve []serveLevel `json:"serve,omitempty"`
 }
 
 func main() {
 	out := flag.String("o", "", "output JSON file (default BENCH_<suite>.json)")
-	suite := flag.String("suite", "fixpoint", "benchmark suite: fixpoint, core or serve")
+	suite := flag.String("suite", "fixpoint", "benchmark suite: fixpoint, core or scale")
 	quick := flag.Bool("quick", false, "skip the slow brute-force and enumeration kernels")
 	flag.Parse()
 	var err error
@@ -78,18 +74,13 @@ func main() {
 			*out = "BENCH_core.json"
 		}
 		err = runCore(*out, *quick)
-	case "serve":
-		if *out == "" {
-			*out = "BENCH_serve.json"
-		}
-		err = runServe(*out, *quick)
 	case "scale":
 		if *out == "" {
 			*out = "BENCH_scale.json"
 		}
 		err = runScale(*out, *quick)
 	default:
-		err = fmt.Errorf("unknown suite %q (want fixpoint, core, serve or scale)", *suite)
+		err = fmt.Errorf("unknown suite %q (want fixpoint, core or scale)", *suite)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
