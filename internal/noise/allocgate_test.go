@@ -19,6 +19,10 @@ func TestFixpointAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement is redundant in -short runs")
 	}
+	if raceEnabled {
+		// CI enforces the gate in its own non-race step.
+		t.Skip("the race detector makes sync.Pool drop pooled engines at random, so warm runs allocate again")
+	}
 	const ceiling = 64
 	for _, name := range []string{"i1", "i3"} {
 		c, err := gen.BuildPaper(name)
