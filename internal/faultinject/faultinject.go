@@ -50,6 +50,10 @@ const (
 	// corruption and slow restores (Delay exposes the /readyz
 	// not-ready window during boot).
 	SiteSnapshotRestore = "snapshot.restore"
+	// SiteSnapshotSyncDir fires once per directory fsync that publishes
+	// a snapshot rename or removal (internal/snapshot) — an Err rule
+	// stands in for the error from the fsync itself.
+	SiteSnapshotSyncDir = "snapshot.syncdir"
 )
 
 // Injected is the panic value (and error) of an injected panic, so

@@ -2,11 +2,13 @@ package snapshot
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"sync/atomic"
+	"syscall"
 	"time"
 )
 
@@ -16,7 +18,9 @@ import (
 // directory is fsynced so the rename itself is durable. A crash — or
 // an injected write error — at any point leaves either the previous
 // file or the new one, never a torn mix; the temp file is removed on
-// failure (a temp file orphaned by kill -9 is swept by Store.Load).
+// failure (a temp file orphaned by kill -9 is swept by Store.Load). A
+// failed directory fsync is reported even though the new file is
+// already in place, because its rename may not survive power loss.
 func WriteFileAtomic(path string, encode func(*Encoder) error) (written int64, err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, tmpPrefix+filepath.Base(path)+".*")
@@ -60,18 +64,22 @@ func WriteFileAtomic(path string, encode func(*Encoder) error) (written int64, e
 const tmpPrefix = ".tmp."
 
 // syncDir fsyncs a directory so a completed rename survives power
-// loss. Filesystems that refuse directory fsync (some network mounts)
-// degrade to rename-only durability rather than failing the snapshot.
+// loss. Filesystems that cannot fsync a directory at all (EINVAL or
+// ENOTSUP, as on some network mounts) degrade to rename-only
+// durability rather than failing the snapshot; any other error, such
+// as EIO, is reported.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return fmt.Errorf("snapshot: open dir: %w", err)
 	}
 	defer d.Close()
-	if err := d.Sync(); err != nil && !os.IsPermission(err) {
-		// EINVAL and friends: the filesystem cannot fsync directories.
-		// The rename is still atomic; accept the weaker guarantee.
-		return nil
+	err = fireSyncDirProbe()
+	if err == nil {
+		err = d.Sync()
+	}
+	if err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
+		return fmt.Errorf("snapshot: fsync dir: %w", err)
 	}
 	return nil
 }

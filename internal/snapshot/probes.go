@@ -12,3 +12,8 @@ func fireWriteProbe() error { return faultinject.FireErr(faultinject.SiteSnapsho
 // read; an armed Err rule makes the decode fail as if the payload had
 // been corrupted, driving the quarantine-and-rebuild ladder.
 func fireRestoreProbe() error { return faultinject.FireErr(faultinject.SiteSnapshotRestore) }
+
+// fireSyncDirProbe fires the snapshot.syncdir site once per directory
+// fsync; an armed Err rule replaces the fsync's own result, modelling
+// an I/O error (EIO) or a filesystem that cannot fsync directories.
+func fireSyncDirProbe() error { return faultinject.FireErr(faultinject.SiteSnapshotSyncDir) }

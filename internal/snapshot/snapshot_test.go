@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 
 	"topkagg/internal/faultinject"
@@ -318,6 +319,68 @@ func TestQuarantine(t *testing.T) {
 	}
 	if q1 == q2 {
 		t.Fatal("second quarantine overwrote the first")
+	}
+}
+
+// TestSyncDirErrors drives the snapshot.syncdir probe in place of the
+// directory fsync. EIO must fail Save, Remove and Quarantine with an
+// error that still matches syscall.EIO, and the failed Save must leave
+// one complete snapshot and no temp file. EINVAL and ENOTSUP mean the
+// filesystem cannot fsync a directory, so all three calls succeed.
+func TestSyncDirErrors(t *testing.T) {
+	if !faultinject.Enabled() {
+		t.Skip("probes compiled out")
+	}
+	for _, tc := range []struct {
+		name  string
+		errno syscall.Errno
+		fail  bool
+	}{
+		{"EIO", syscall.EIO, true},
+		{"EINVAL", syscall.EINVAL, false},
+		{"ENOTSUP", syscall.ENOTSUP, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := Open(dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Save("m", encodeSample); err != nil {
+				t.Fatal(err)
+			}
+			bad := filepath.Join(dir, "bad.snap")
+			if err := os.WriteFile(bad, []byte("garbage"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			faultinject.Arm(faultinject.NewPlan(1).Add(faultinject.SiteSnapshotSyncDir,
+				faultinject.Rule{Err: tc.errno}))
+			defer faultinject.Disarm()
+			check := func(op string, err error) {
+				t.Helper()
+				if tc.fail && !errors.Is(err, syscall.EIO) {
+					t.Fatalf("%s: got %v, want an error matching EIO", op, err)
+				}
+				if !tc.fail && err != nil {
+					t.Fatalf("%s: %v", op, err)
+				}
+			}
+
+			_, err = st.Save("m", encodeSample)
+			check("Save", err)
+			data, err := os.ReadFile(filepath.Join(dir, "m.snap"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := drain(data); err != nil {
+				t.Fatalf("snapshot after Save does not decode: %v", err)
+			}
+			assertNoTemps(t, dir)
+
+			_, err = Quarantine(bad)
+			check("Quarantine", err)
+			check("Remove", st.Remove("m"))
+		})
 	}
 }
 
