@@ -147,6 +147,10 @@ type (
 	MetricsSnapshot = obs.Snapshot
 	// DebugServer is a running metrics/expvar/pprof HTTP endpoint.
 	DebugServer = obs.DebugServer
+	// Budget bounds one run by a context's cancellation and deadline
+	// (see NewBudget, Model.RunBudget and Model.RunIncrementalBudget).
+	// A nil *Budget runs unbounded.
+	Budget = budget.B
 )
 
 // Query operations and targets for the batch Analyzer.
@@ -281,13 +285,18 @@ func TopKEliminationAtCtx(ctx context.Context, m *Model, net NetID, k int, opt O
 // result.
 func topKCtx(ctx context.Context, prepare func(*budget.B, *Model, *noise.Analysis, NetID, Options) (*core.Shared, error),
 	m *Model, net NetID, k int, opt Options) (*Result, error) {
-	b := budget.New(ctx)
+	b := NewBudget(ctx)
 	s, err := prepare(b, m, nil, net, opt)
 	if err != nil {
 		return nil, err
 	}
 	return s.TopKBudget(b, k)
 }
+
+// NewBudget returns a budget bound to ctx: a run given it stops with
+// an error once ctx is canceled or its deadline passes (see
+// StopReason).
+func NewBudget(ctx context.Context) *Budget { return budget.New(ctx) }
 
 // StopReason classifies an error returned anywhere in the stack as an
 // early-stop condition: "canceled", "deadline", "work-budget" or
