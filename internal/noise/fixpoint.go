@@ -61,15 +61,12 @@ type envEntry struct {
 
 // evalScratch is one worker's allocation-free workspace: the union
 // breakpoint times of the current victim, the pooled sampling grid,
-// and the worker-local observability counts. sub and ramp serve the
-// public DelayNoise path (delayNoiseInto). Each sweep worker owns
+// and the worker-local observability counts. Each sweep worker owns
 // exactly one.
 type evalScratch struct {
 	times  []float64       // union of breakpoint times
 	traps  []waveform.Trap // active traps, densely packed in adjacency order
 	grid   *waveform.Grid
-	sub    []waveform.Point
-	ramp   [2]waveform.Point
 	counts evalCounts
 }
 

@@ -231,26 +231,10 @@ func (m *Model) VictimRamp(w sta.Window) waveform.PWL {
 // the combined noise envelope env is superimposed on (subtracted from,
 // for a rising victim) the latest victim transition.
 func (m *Model) DelayNoise(victimWin sta.Window, env waveform.PWL) float64 {
-	var s evalScratch
-	return m.delayNoiseInto(victimWin, env, &s)
-}
-
-// delayNoiseInto is DelayNoise evaluated through a caller-owned
-// scratch: the victim ramp is built in place and the ramp-minus-
-// envelope subtraction reuses the scratch buffer, so the fixpoint hot
-// path performs no steady-state allocation. The ramp points are
-// exactly VictimRamp's (slew clamp included), and SubInto is
-// point-identical to Sub, so the result matches the public DelayNoise
-// bit for bit.
-func (m *Model) delayNoiseInto(victimWin sta.Window, env waveform.PWL, s *evalScratch) float64 {
 	if env.IsZero() {
 		return 0
 	}
-	slew := math.Max(victimWin.Slew, 1e-3)
-	s.ramp[0] = waveform.Point{T: victimWin.LAT - slew/2, V: 0}
-	s.ramp[1] = waveform.Point{T: victimWin.LAT + slew/2, V: m.Vdd}
-	var noisy waveform.PWL
-	noisy, s.sub = waveform.SubInto(waveform.View(s.ramp[:]), env, s.sub)
+	noisy := waveform.Sub(m.VictimRamp(victimWin), env)
 	t, ok := noisy.LatestTimeAtOrBelow(m.Vdd / 2)
 	if !ok {
 		// Envelope holds the victim below threshold past its span;

@@ -5,6 +5,10 @@ import (
 	"testing"
 )
 
+// view wraps pts in a PWL without New's validation or breakpoint
+// merging, so a test can build a vertical step.
+func view(pts []Point) PWL { return PWL{pts: pts} }
+
 // TestSampleIntoMatchesValue pins the bit-identity contract of the
 // digest sampler: every grid sample equals Value at the same time —
 // same formula, same operation order — over random waveforms and
@@ -62,7 +66,7 @@ func TestSampleIntoEdges(t *testing.T) {
 
 	// A step at the start: Value takes its leading-edge branch for
 	// t <= first breakpoint, and the sampler must match it exactly.
-	step := View([]Point{{T: 1, V: 0.5}, {T: 1, V: 2}, {T: 3, V: 0}})
+	step := view([]Point{{T: 1, V: 0.5}, {T: 1, V: 2}, {T: 3, V: 0}})
 	var out5 [5]float64
 	step.SampleInto(0, 2, out5[:])
 	for g, tg := range []float64{0, 0.5, 1, 1.5, 2} {

@@ -82,24 +82,3 @@ func TestAccumulatorReuse(t *testing.T) {
 		t.Fatal("Reset must clear the accumulated set")
 	}
 }
-
-// TestSubIntoMatchesSub pins the scratch-buffer subtraction to Sub.
-func TestSubIntoMatchesSub(t *testing.T) {
-	r := rand.New(rand.NewSource(33))
-	var buf []Point
-	for trial := 0; trial < 100; trial++ {
-		a, b := sumTestPulse(r), sumTestPulse(r)
-		want := Sub(a, b)
-		var got PWL
-		got, buf = SubInto(a, b, buf)
-		wp, gp := want.Points(), got.Points()
-		if len(wp) != len(gp) {
-			t.Fatalf("trial %d: point counts differ", trial)
-		}
-		for i := range wp {
-			if wp[i] != gp[i] {
-				t.Fatalf("trial %d point %d: %+v vs %+v", trial, i, wp[i], gp[i])
-			}
-		}
-	}
-}

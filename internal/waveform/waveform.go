@@ -364,22 +364,6 @@ func Sub(a, b PWL) PWL {
 	return linearCombine(a, b, -1)
 }
 
-// SubInto computes a - b into buf (reused if capacity allows) and
-// returns a PWL viewing the result plus the grown buffer. The returned
-// PWL aliases the buffer: it is valid only until the buffer's next
-// reuse. It is the allocation-free form of Sub for hot paths that
-// consume the difference immediately (delay-noise t50 extraction).
-func SubInto(a, b PWL, buf []Point) (PWL, []Point) {
-	buf = appendCombine(buf[:0], a, b, -1)
-	return PWL{pts: buf}, buf
-}
-
-// View wraps pts in a PWL without copying or validation. The caller
-// must keep the points sorted by time and must not mutate them while
-// the PWL is in use. Intended for scratch-buffer reuse on hot paths;
-// everything else should use New.
-func View(pts []Point) PWL { return PWL{pts: pts} }
-
 // Max returns the pointwise maximum of a and b, inserting breakpoints
 // at segment intersections so the result is exact.
 func Max(a, b PWL) PWL {
